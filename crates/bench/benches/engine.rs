@@ -1,4 +1,4 @@
-//! Sequential vs arc-parallel engine: `Engine::run` against
+//! Sequential vs parallel engine: `Engine::run` against
 //! `Engine::par_run` on the same instances, up to m = 4096.
 //!
 //! The two executors produce bit-identical reports (asserted once per

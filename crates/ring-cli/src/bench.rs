@@ -15,9 +15,7 @@
 
 use ring_sched::{run_fabric, FabricAlgo};
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
-use ring_sim::{
-    AnyTopology, Clique, EngineConfig, ParConfig, ParStrategy, SpanOutcome, Topology, Torus2D,
-};
+use ring_sim::{AnyTopology, Clique, EngineConfig, ParConfig, SpanOutcome, Topology, Torus2D};
 use ring_workloads::pagemig::PageMigration;
 use std::collections::HashMap;
 use std::process::exit;
@@ -37,17 +35,9 @@ const SPAN_ROUNDS: u64 = 256;
 const FABRIC_MAX_M: usize = 1 << 16;
 
 /// The executor gate (`--gate-par`): at this ring size and above, the
-/// sharded executor must out-run the sequential reference on every shape
+/// parallel executor must out-run the sequential reference on every shape
 /// that has both cells — ratio strictly above 1.0.
 const PAR_GATE_MIN_M: usize = 1024;
-
-/// The stealing gate (`--gate-steal`): at this ring size and above,
-/// work-stealing + ledger rebalancing must beat the static-arc parallel
-/// executor on the hotspot shape by at least [`STEAL_GATE_RATIO`].
-const STEAL_GATE_MIN_M: usize = 4096;
-
-/// Required `hotspot-*-steal-over-static` ratio at [`STEAL_GATE_MIN_M`]+.
-const STEAL_GATE_RATIO: f64 = 1.15;
 
 /// One cell of the benchmark matrix.
 struct BenchRecord {
@@ -136,11 +126,7 @@ fn bench_case(
             Representation::Coalesced => "coalesced",
         },
         executor: if shards > 1 {
-            match (par.strategy, par.rebalance) {
-                (Some(ParStrategy::Steal), Some(false)) => format!("par_steal_norebal({shards})"),
-                (Some(ParStrategy::Steal), _) => format!("par_steal({shards})"),
-                _ => format!("par_run({shards})"),
-            }
+            format!("par_run({shards})")
         } else {
             "run".to_string()
         },
@@ -209,10 +195,11 @@ fn bench_span_case(key: String, spec: &StreamSpec, shards: usize, reps: usize) -
 /// hotspot neighborhood with a thin uniform background; collapsing the
 /// script's arrivals into initial loads (quota = load, so every unit drains
 /// where it sits) yields a ring where a few contiguous stretches hold large
-/// backlogs and the rest quiesce after a handful of rounds. A static
-/// contiguous-arc cut leaves whichever arc owns the hot stretch as the
-/// critical path every round; ledger-driven rebalancing + stealing split it
-/// across workers — exactly the gap the `--gate-steal` ratio measures.
+/// backlogs and the rest quiesce after a handful of rounds. One thread per
+/// fixed arc would leave whichever arc owns the hot stretch as the
+/// critical path every round; the parallel executor cuts the ring into
+/// more tasks than workers and steals, which the `hotspot-*-par-over-run`
+/// ratio measures.
 fn hotspot_spec(m: usize) -> StreamSpec {
     let burst = (m as u64 / 2).max(4);
     let script = PageMigration::new(m, 16, 1, burst).script(1994);
@@ -506,24 +493,10 @@ fn run_matrix(
             ratio: compressed / plain,
         });
         // The hotspot shape is the imbalanced-arc axis: sequential
-        // reference, static contiguous arcs, and work-stealing with the
-        // ledger rebalancer on and off.
+        // reference vs the work-stealing parallel executor (the `par-steal`
+        // key is the one earlier baselines recorded for it).
         let hotspot = hotspot_spec(m);
-        let steal = |rebalance: bool| ParConfig {
-            strategy: Some(ParStrategy::Steal),
-            rebalance: Some(rebalance),
-            ..ParConfig::default()
-        };
-        let static_par = ParConfig {
-            strategy: Some(ParStrategy::Static),
-            ..ParConfig::default()
-        };
-        for (tag, s, par) in [
-            ("run", 1usize, ParConfig::default()),
-            ("par-static", shards, static_par),
-            ("par-steal", shards, steal(true)),
-            ("steal-norebal", shards, steal(false)),
-        ] {
+        for (tag, s) in [("run", 1usize), ("par-steal", shards)] {
             let key = format!("hotspot-m{m}-{tag}");
             results.push(bench_case(
                 key,
@@ -532,28 +505,18 @@ fn run_matrix(
                 Representation::Coalesced,
                 false,
                 s,
-                par,
+                ParConfig::default(),
                 reps,
             ));
         }
-        let run_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-run"));
-        let static_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par-static"));
-        let steal_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par-steal"));
-        let norebal_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-steal-norebal"));
         if m >= PAR_GATE_MIN_M {
+            let run_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-run"));
+            let par_h = find_jobs_per_sec(&results, &format!("hotspot-m{m}-par-steal"));
             speedups.push(SpeedupRecord {
                 key: format!("hotspot-m{m}-par-over-run"),
-                ratio: steal_h / run_h,
+                ratio: par_h / run_h,
             });
         }
-        speedups.push(SpeedupRecord {
-            key: format!("hotspot-m{m}-steal-over-static"),
-            ratio: steal_h / static_h,
-        });
-        speedups.push(SpeedupRecord {
-            key: format!("hotspot-m{m}-rebalance"),
-            ratio: steal_h / norebal_h,
-        });
     }
     (results, speedups)
 }
@@ -564,10 +527,8 @@ fn run_matrix(
 /// (sizes above 8192 run in fixed-span mode), `--reps <n>`, `--shards
 /// <n>`, `--check <baseline.json>` (fail if any speedup ratio present in
 /// both runs dropped below 80% of the baseline), `--gate-par` (fail
-/// unless the sharded executor beats the sequential reference on every
-/// shape of at least 1024 nodes), `--gate-steal` (fail unless stealing +
-/// rebalancing beats the static-arc executor by ≥1.15× on the hotspot
-/// shape at 4096+ nodes).
+/// unless the parallel executor beats the sequential reference on every
+/// shape of at least 1024 nodes).
 pub fn cmd_bench(flags: &HashMap<String, String>) {
     let sizes: Vec<usize> = flags
         .get("sizes")
@@ -622,10 +583,6 @@ pub fn cmd_bench(flags: &HashMap<String, String>) {
         gate_par_over_run(&speedups);
     }
 
-    if flags.contains_key("gate-steal") {
-        gate_steal_over_static(&speedups);
-    }
-
     if let Some(baseline_path) = flags.get("check") {
         check_speedups(&speedups, baseline_path);
     }
@@ -676,55 +633,6 @@ fn gate_par_over_run(speedups: &[SpeedupRecord]) {
         exit(1);
     }
     println!("executor gate: par_run beats run on all {gated} gated shapes");
-}
-
-/// Enforces the stealing gate: every `hotspot-*-steal-over-static` ratio
-/// measured on a ring of at least [`STEAL_GATE_MIN_M`] nodes must reach
-/// [`STEAL_GATE_RATIO`] — work-stealing + ledger rebalancing has to beat
-/// the static-arc executor decisively on the imbalanced shape, not tie it.
-/// Exits non-zero on failure.
-fn gate_steal_over_static(speedups: &[SpeedupRecord]) {
-    let mut gated = 0;
-    let mut failed = false;
-    for s in speedups {
-        if !s.key.ends_with("-steal-over-static") {
-            continue;
-        }
-        let m: usize = s
-            .key
-            .split("-m")
-            .nth(1)
-            .and_then(|rest| rest.split('-').next())
-            .and_then(|digits| digits.parse().ok())
-            .unwrap_or_else(|| panic!("malformed speedup key {}", s.key));
-        if m < STEAL_GATE_MIN_M {
-            continue;
-        }
-        gated += 1;
-        let ok = s.ratio >= STEAL_GATE_RATIO;
-        println!(
-            "gate {:<28} {:>8.2}x {}",
-            s.key,
-            s.ratio,
-            if ok {
-                "ok"
-            } else {
-                "FAILED (stealing must beat static arcs by 1.15x)"
-            }
-        );
-        failed |= !ok;
-    }
-    if gated == 0 {
-        eprintln!("--gate-steal needs at least one size of {STEAL_GATE_MIN_M}+ nodes at or below {SPAN_ONLY_ABOVE}");
-        exit(1);
-    }
-    if failed {
-        eprintln!(
-            "stealing gate failed: steal+rebalance did not beat static arcs by {STEAL_GATE_RATIO}x at m >= {STEAL_GATE_MIN_M}"
-        );
-        exit(1);
-    }
-    println!("stealing gate: steal+rebalance beats static arcs on all {gated} gated shapes");
 }
 
 /// Compares current speedup ratios against a checked-in baseline file and

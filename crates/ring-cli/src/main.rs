@@ -19,7 +19,7 @@
 //! ringsched loadgen --mode closed --clients 8 --m 256 --seed 7
 //! ringsched bench-service --json BENCH_service.json
 //! ringsched compete --case sec5-j-w60-z3-m48 --policy mig
-//! ringsched run scenarios/catalog-part1.ring --executor steal
+//! ringsched run scenarios/catalog-part1.ring --executor par
 //! ringsched run scenarios/fault-drop.ring --trace-out traces/
 //! ringsched trace diff traces/a.ringtrace traces/b.ringtrace
 //! ```
@@ -55,7 +55,7 @@ fn usage() -> ! {
          \x20   --workload concentrated|region|uniform  (default concentrated)\n\
          \x20   --m <ring size> --n <jobs> [--seed <s>] [--c <const>]\n\
          \x20   --threaded                    one OS thread per processor\n\
-         \x20   --par <shards>                arc-parallel engine on <shards> threads\n\
+         \x20   --par <shards>                parallel engine on <shards> threads\n\
          \x20   --observe                     emit per-step observability JSON\n\
          \x20   --faults <spec>               deterministic fault plan, entries\n\
          \x20                                 separated by ';':\n\
@@ -109,7 +109,7 @@ fn usage() -> ! {
          \n\
          `run`, `compete`, and `serve` also accept a `.ring` scenario file\n\
          as a positional argument; the plan carries the whole experiment.\n\
-         Overrides: --executor run|par|steal, --shards <s>, --trace-out <dir>.\n\
+         Overrides: --executor run|par, --shards <s>, --trace-out <dir>.\n\
          \n\
          `run`, `capacitated`, and `optimum` also accept --instance <path>\n\
          to load an instance written by `save`."

@@ -2,7 +2,7 @@
 //!
 //! A scenario file carries the whole experiment — workload, algorithm,
 //! executor, faults, trace level — so the subcommands only add operational
-//! overrides: `--executor run|par|steal` re-runs the same plan under a
+//! overrides: `--executor run|par` re-runs the same plan under a
 //! different executor (the CI conformance matrix), and `--trace-out <dir>`
 //! captures binary `RINGTRACE` files for every row. Serve-mode plans are
 //! translated to the `serve` flag set and handed to the service front end.
@@ -19,7 +19,7 @@ fn load(path: &str) -> Plan {
     })
 }
 
-/// Applies `--executor run|par|steal` on top of the plan's own spec.
+/// Applies `--executor run|par` on top of the plan's own spec.
 fn apply_executor_override(plan: &mut Plan, flags: &HashMap<String, String>) {
     let Some(mode) = flags.get("executor") else {
         return;
@@ -27,18 +27,11 @@ fn apply_executor_override(plan: &mut Plan, flags: &HashMap<String, String>) {
     let mode = match mode.as_str() {
         "run" => ExecMode::Run,
         "par" => ExecMode::Par,
-        "steal" => ExecMode::Steal,
         other => {
-            eprintln!("--executor must be run, par, or steal (got {other})");
+            eprintln!("--executor must be run or par (got {other})");
             exit(2)
         }
     };
-    if mode == ExecMode::Steal
-        && (plan.mode == Mode::Compete || matches!(plan.workload, Workload::Arrivals(_)))
-    {
-        eprintln!("--executor steal is not supported for this scenario (arrival script)");
-        exit(2)
-    }
     plan.executor.mode = mode;
     if let Some(shards) = flags.get("shards") {
         plan.executor.shards = Some(shards.parse().unwrap_or_else(|_| {

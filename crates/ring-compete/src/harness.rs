@@ -152,7 +152,7 @@ impl CaseRatio {
 
 /// Runs `policy` on `script` and measures it against the offline optimum.
 ///
-/// `shards` routes engine policies through the arc-parallel executor
+/// `shards` routes engine policies through the parallel executor
 /// (`run_dynamic_par`, bit-identical to the sequential engine); it is
 /// irrelevant for assignment policies. The online makespan is handed to
 /// the offline solver as its upper hint, so the exact search never scans

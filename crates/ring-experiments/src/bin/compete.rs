@@ -1,7 +1,7 @@
 //! Prints the competitive-ratio table for the adversarial catalog: every
 //! §6 algorithm plus the online policy suite, measured against the exact
 //! (or flagged lower-bound) offline optimum. Pass `--markdown` for the
-//! EXPERIMENTS.md grid, `--par <shards>` for the arc-parallel engine.
+//! EXPERIMENTS.md grid, `--par <shards>` for the parallel engine.
 
 use ring_compete::{render_table, report_digest};
 use ring_experiments::compete::{markdown_table, ratio_table};

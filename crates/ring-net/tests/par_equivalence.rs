@@ -3,7 +3,7 @@
 //!
 //! All three executors implement the same synchronous round-delayed model,
 //! and every policy in the workspace is deterministic, so the schedules must
-//! agree *exactly* — the arc-parallel engine bit-for-bit on the whole
+//! agree *exactly* — the parallel engine bit-for-bit on the whole
 //! [`RunReport`] (metrics, trace, observability), the thread-per-processor
 //! executor on everything it reports (makespan, per-node work, message
 //! count). Divergence under any executor means either a policy peeked at
@@ -18,12 +18,12 @@ use ring_sched::unit::{
 };
 use ring_sim::stream::{stream_engine, Representation, StreamSpec};
 use ring_sim::{
-    check_run, CheckpointError, Engine, EngineConfig, FaultPlan, Instance, ParConfig, ParStrategy,
-    RunReport, SimError, Snapshot, TraceLevel,
+    check_run, CheckpointError, Engine, EngineConfig, FaultPlan, Instance, ParConfig, RunReport,
+    SimError, Snapshot, TraceLevel,
 };
 use std::sync::{Arc, Mutex};
 
-/// Runs a unit-algorithm config through the arc-parallel engine.
+/// Runs a unit-algorithm config through the parallel engine.
 fn par_run_unit(inst: &Instance, cfg: &UnitConfig, shards: usize) -> Result<RunReport, SimError> {
     let nodes = build_unit_nodes(inst, cfg);
     let engine_cfg = EngineConfig {
@@ -40,10 +40,8 @@ fn par_run_unit(inst: &Instance, cfg: &UnitConfig, shards: usize) -> Result<RunR
 
 /// A fully-pinned work-stealing executor config (no environment fallbacks),
 /// so each test case states exactly which schedule knobs it exercises.
-fn steal_par(rebalance: bool, tasks: usize, steal_seed: u64, threads: Option<usize>) -> ParConfig {
+fn steal_par(tasks: usize, steal_seed: u64, threads: Option<usize>) -> ParConfig {
     ParConfig {
-        strategy: Some(ParStrategy::Steal),
-        rebalance: Some(rebalance),
         tasks_per_shard: Some(tasks),
         steal_seed: Some(steal_seed),
         threads,
@@ -316,7 +314,7 @@ proptest! {
     /// caps each span at the next boundary so snapshots land exactly on
     /// `t % every == 0`); the split must be unobservable: with compression
     /// on and a random cadence, the report still matches the plain
-    /// uncompressed run bit-for-bit — sequentially and arc-parallel, with
+    /// uncompressed run bit-for-bit — sequentially and in parallel, with
     /// and without a fault plan — and resuming from a random boundary of
     /// the compressed run reproduces it again.
     #[test]
@@ -393,7 +391,7 @@ proptest! {
     /// Count-coalesced runs are unobservable: a random stream workload
     /// reports bit-identically whether its surplus travels as per-unit
     /// arena entries or coalesced runs, with and without step compression,
-    /// sequentially and arc-parallel. (Fault-free by design: a bandwidth
+    /// sequentially and in parallel. (Fault-free by design: a bandwidth
     /// cap can split a per-unit stream mid-step but never a coalesced run,
     /// so capped links are outside the representation-equivalence contract —
     /// see DESIGN.md §10.)
@@ -498,16 +496,16 @@ fn stealing_matches_the_sequential_report_bit_for_bit() {
             let cfg = cfg.with_trace().with_observe();
             let seq = run_unit(&inst, &cfg).unwrap();
             for shards in [1usize, 2, 3, 7] {
-                for (rebalance, tasks, seed) in [(true, 4, 0), (false, 1, 1), (true, 2, 0xDEAD)] {
+                for (tasks, seed) in [(4, 0), (1, 1), (2, 0xDEAD)] {
                     for window in WINDOWS {
                         let mut scfg = cfg.with_window(window);
-                        scfg.par = steal_par(rebalance, tasks, seed, None);
+                        scfg.par = steal_par(tasks, seed, None);
                         let par = par_run_unit(&inst, &scfg, shards).unwrap();
                         assert_eq!(
                             seq.report,
                             par,
-                            "{name}/{shards} shards/steal(rebalance={rebalance}, tasks={tasks}, \
-                             seed={seed})/window {window} diverged on {:?}",
+                            "{name}/{shards} shards/steal(tasks={tasks}, seed={seed})/window \
+                             {window} diverged on {:?}",
                             inst.loads()
                         );
                     }
@@ -521,8 +519,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
 
     /// Work-stealing is unobservable: random instances, random fault plans,
-    /// all six §6 algorithms, shard counts {1, 2, 3, 7}, rebalancing on and
-    /// off, random task granularity, adversarial seeded steal timings, and
+    /// all six §6 algorithms, shard counts {1, 2, 3, 7}, random task
+    /// granularity, adversarial seeded steal timings, and
     /// worker pools from leader-only to oversubscribed — the stolen run's
     /// `RunReport` is bit-identical to the sequential one and the
     /// trace-replay oracle accepts it.
@@ -532,7 +530,6 @@ proptest! {
         alg in 0usize..6,
         seed in 0u64..1_000_000,
         window in 0usize..4,
-        rebalance in 0u8..2,
         tasks in 1usize..5,
         steal_seed in 0u64..1_000_000_000,
         threads in 0usize..3,
@@ -547,16 +544,14 @@ proptest! {
         let seq = run_unit_faulty(&inst, &cfg, &plan).unwrap();
         for shards in [1usize, 2, 3, 7] {
             let mut scfg = cfg;
-            scfg.par = steal_par(rebalance == 1, tasks, steal_seed, THREAD_FORCES[threads]);
+            scfg.par = steal_par(tasks, steal_seed, THREAD_FORCES[threads]);
             let par = run_unit_par_faulty(&inst, &scfg, &plan, shards).unwrap();
             prop_assert_eq!(
                 &seq.report,
                 &par.report,
-                "{} stolen on {} shards (rebalance={}, tasks={}, seed={}, threads={:?}) \
-                 diverged under {:?}",
+                "{} stolen on {} shards (tasks={}, seed={}, threads={:?}) diverged under {:?}",
                 name,
                 shards,
-                rebalance == 1,
                 tasks,
                 steal_seed,
                 THREAD_FORCES[threads],
@@ -572,10 +567,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fault_case_count()))]
 
     /// Checkpoint/restore composes with stealing: a run checkpointed under
-    /// the steal executor reports bit-identically to the plain sequential
+    /// the parallel executor reports bit-identically to the plain sequential
     /// run, and a snapshot from a random boundary — byte-round-tripped —
     /// resumes bit-identically, with the save and restore sides drawing
-    /// shard counts, rebalancing, and steal seeds independently. Snapshots
+    /// shard counts, task granularity, and steal seeds independently. Snapshots
     /// stay shard-count- and schedule-independent, so any mix must stitch.
     #[test]
     fn steal_resume_is_bit_identical_under_fault_plans(
@@ -585,8 +580,6 @@ proptest! {
         every in 1u64..16,
         save_shards in 0usize..4,
         restore_shards in 0usize..4,
-        save_rebalance in 0u8..2,
-        restore_rebalance in 0u8..2,
         steal_seed in 0u64..1_000_000_000,
         pick in 0usize..64,
         window in 0usize..4,
@@ -602,7 +595,7 @@ proptest! {
         let base = run_unit_faulty(&inst, &cfg, &plan).unwrap();
 
         let mut save_cfg = cfg;
-        save_cfg.par = steal_par(save_rebalance == 1, 1 + (pick % 4), steal_seed, None);
+        save_cfg.par = steal_par(1 + (pick % 4), steal_seed, None);
         let snaps = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&snaps);
         let checkpointed = run_unit_checkpointed(
@@ -635,7 +628,7 @@ proptest! {
         let snap = &snaps[pick % snaps.len()];
         let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         let mut restore_cfg = cfg;
-        restore_cfg.par = steal_par(restore_rebalance == 1, 1 + (pick % 3), !steal_seed, None);
+        restore_cfg.par = steal_par(1 + (pick % 3), !steal_seed, None);
         let resumed = resume_unit(&restore_cfg, &snap, Some(SHARDS[restore_shards])).unwrap();
         prop_assert_eq!(
             &base.report,

@@ -31,8 +31,8 @@ use ring_sim::Instance;
 /// One batch of unit jobs revealed to the online algorithm.
 ///
 /// Mirrors `ring_sched::dynamic::Arrival` structurally; `ring-opt` keeps
-/// its own copy so the dependency graph stays `ring-sched → ring-sim ←
-/// ring-opt` (acyclic), as with the closed-form bounds.
+/// its own copy because `ring-sched` depends on `ring-opt`, not the
+/// reverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Release {
     /// Step at which the batch is revealed.

@@ -7,7 +7,7 @@
 //! Compete-mode plans resolve to compete-harness scripts and yield
 //! [`CaseRatio`] rows plus the harness digest. The report digest covers
 //! only case/algorithm/makespan triples — never executor choice — so the
-//! same plan digests identically across `run`, `par`, and `steal`, which is
+//! same plan digests identically across `run` and `par`, which is
 //! exactly the bit-identity the CI scenario matrix pins.
 
 use crate::plan::{AlgSelect, CatalogSel, ExecMode, Mode, Plan, ShapeKind, TopoKind, Workload};
@@ -15,12 +15,12 @@ use ring_compete::{measure, measure_suite, policy_by_name, report_digest, CaseRa
 use ring_sched::dynamic::{run_dynamic, run_dynamic_par, DynamicInstance};
 use ring_sched::unit::{run_unit, run_unit_faulty, run_unit_par, run_unit_par_faulty};
 use ring_sched::{run_fabric, FabricAlgo, UnitConfig};
-use ring_sim::engine::{ParStrategy, RunReport};
+use ring_sim::engine::RunReport;
 use ring_sim::{AnyTopology, EngineConfig, Instance, Topology, TraceFile, TraceLevel};
 use ring_workloads::catalog::{catalog, catalog_case, Part};
 use ring_workloads::{random, structured};
 
-/// Shard count for par/steal executors when the plan does not set one.
+/// Shard count for the par executor when the plan does not set one.
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// One executed (case, algorithm) cell of a run-mode plan.
@@ -141,13 +141,9 @@ fn apply_executor(plan: &Plan, mut cfg: UnitConfig) -> UnitConfig {
     if let Some(w) = ex.window {
         cfg = cfg.with_window(w);
     }
-    if ex.mode == ExecMode::Steal {
-        cfg.par.strategy = Some(ParStrategy::Steal);
-        cfg.par.rebalance = ex.rebalance;
-        cfg.par.tasks_per_shard = ex.tasks_per_shard;
-        cfg.par.steal_seed = ex.steal_seed;
-        cfg.par.threads = ex.threads;
-    }
+    cfg.par.tasks_per_shard = ex.tasks_per_shard;
+    cfg.par.steal_seed = ex.steal_seed;
+    cfg.par.threads = ex.threads;
     cfg
 }
 
@@ -239,10 +235,6 @@ fn run_fabric_static(plan: &Plan) -> Result<Vec<PlanRow>, String> {
     };
     if plan.trace_full {
         config.trace = TraceLevel::Full;
-    }
-    if plan.executor.mode == ExecMode::Steal {
-        config.par.strategy = Some(ParStrategy::Steal);
-        config.par.steal_seed = plan.executor.steal_seed;
     }
     let shards = match plan.executor.mode {
         ExecMode::Run => None,

@@ -3,7 +3,7 @@
 //! A `.ring` file describes an experiment end-to-end: topology size,
 //! workload (explicit loads, catalog cases, generated shapes, arrival
 //! scripts), fault plan, algorithm selection with drop-off constant,
-//! executor and its knobs (shards, locality window, steal tuning), trace
+//! executor and its knobs (shards, locality window, work-stealing tuning), trace
 //! level, compete-policy set, and service SLOs. [`parse_plan`] turns the
 //! text into a validated [`Plan`] with position-carrying typed errors;
 //! [`Plan::render`] is its exact inverse (canonical normal form);
@@ -109,11 +109,10 @@ name = c2
 c = 2.5
 
 [executor]
-mode = steal
+mode = par
 shards = 8
 window = 16
 compress = true
-rebalance = false
 tasks-per-shard = 6
 steal-seed = 11
 threads = 4
@@ -125,7 +124,7 @@ plan = drop:3cw@10..20;stall:1@0..5
 level = full
 ";
         let plan = parse(text);
-        assert_eq!(plan.executor.mode, ExecMode::Steal);
+        assert_eq!(plan.executor.mode, ExecMode::Par);
         assert_eq!(plan.executor.tasks_per_shard, Some(6));
         assert!(plan.trace_full);
         assert!(plan.faults.is_some());
@@ -231,7 +230,7 @@ level = full
         assert_eq!((e.line, e.col), (8, 1));
         assert_eq!(
             e.kind,
-            ErrorKind::Conflict("`shards` requires executor mode par or steal".to_string())
+            ErrorKind::Conflict("`shards` requires executor mode par".to_string())
         );
     }
 
@@ -325,16 +324,13 @@ level = full
     fn topology_executors_agree_on_the_digest() {
         let base = "[scenario]\nname = eq\n\n[topology]\nkind = torus\nrows = 4\ncols = 4\n\n[workload]\nloads = 9 0 0 31 0 0 7 0 0 0 55 0 1 0 0 2\n";
         let seq = execute(&parse(base)).unwrap();
-        let par = execute(&parse(&format!(
-            "{base}\n[executor]\nmode = par\nshards = 3\n"
-        )))
-        .unwrap();
-        let steal = execute(&parse(&format!(
-            "{base}\n[executor]\nmode = steal\nshards = 2\nsteal-seed = 5\n"
-        )))
-        .unwrap();
-        assert_eq!(seq.digest, par.digest, "run vs par drifted");
-        assert_eq!(seq.digest, steal.digest, "run vs steal drifted");
+        for shards in [2, 3] {
+            let par = execute(&parse(&format!(
+                "{base}\n[executor]\nmode = par\nshards = {shards}\n"
+            )))
+            .unwrap();
+            assert_eq!(seq.digest, par.digest, "run vs par({shards}) drifted");
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ const SECTIONS: &[(&str, &[&str])] = &[
             "shards",
             "window",
             "compress",
-            "rebalance",
             "tasks-per-shard",
             "steal-seed",
             "threads",
@@ -721,8 +720,13 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
         Some(k) => match k.value.as_str() {
             "run" => ExecMode::Run,
             "par" => ExecMode::Par,
-            "steal" => ExecMode::Steal,
-            other => return Err(bad(k, format!("`{other}` is not run, par, or steal"))),
+            "steal" => {
+                return Err(bad(
+                    k,
+                    "`steal` is not an executor mode (`par` is the work-stealing executor)",
+                ))
+            }
+            other => return Err(bad(k, format!("`{other}` is not run or par"))),
         },
     };
     let mut executor = ExecutorSpec {
@@ -731,13 +735,16 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
     };
     if let Some(s) = executor_sec {
         for k in &s.keys {
+            if exec_mode == ExecMode::Run && !matches!(k.key.as_str(), "mode" | "compress") {
+                return Err(conflict(
+                    k,
+                    format!("`{}` requires executor mode par", k.key),
+                ));
+            }
             match k.key.as_str() {
                 "mode" => {}
                 "compress" => executor.compress = boolean(k)?,
                 "shards" => {
-                    if exec_mode == ExecMode::Run {
-                        return Err(conflict(k, "`shards` requires executor mode par or steal"));
-                    }
                     let v: usize = num(k)?;
                     if v == 0 || v > 1024 {
                         return Err(out_of_range(k, format!("must be 1..=1024 (got {v})")));
@@ -745,9 +752,6 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
                     executor.shards = Some(v);
                 }
                 "window" => {
-                    if exec_mode == ExecMode::Run {
-                        return Err(conflict(k, "`window` requires executor mode par or steal"));
-                    }
                     executor.window = Some(if k.value == "L" {
                         u64::MAX
                     } else {
@@ -758,39 +762,27 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
                         v
                     });
                 }
-                "rebalance" | "tasks-per-shard" | "steal-seed" | "threads" => {
-                    if exec_mode != ExecMode::Steal {
-                        return Err(conflict(
-                            k,
-                            format!("`{}` requires executor mode steal", k.key),
-                        ));
+                "tasks-per-shard" => {
+                    let v: usize = num(k)?;
+                    if v == 0 || v > 64 {
+                        return Err(out_of_range(k, format!("must be 1..=64 (got {v})")));
                     }
-                    match k.key.as_str() {
-                        "rebalance" => executor.rebalance = Some(boolean(k)?),
-                        "tasks-per-shard" => {
-                            let v: usize = num(k)?;
-                            if v == 0 || v > 64 {
-                                return Err(out_of_range(k, format!("must be 1..=64 (got {v})")));
-                            }
-                            executor.tasks_per_shard = Some(v);
-                        }
-                        "steal-seed" => executor.steal_seed = Some(num(k)?),
-                        "threads" => {
-                            let v: usize = num(k)?;
-                            if v == 0 || v > 256 {
-                                return Err(out_of_range(k, format!("must be 1..=256 (got {v})")));
-                            }
-                            executor.threads = Some(v);
-                        }
-                        _ => unreachable!(),
+                    executor.tasks_per_shard = Some(v);
+                }
+                "steal-seed" => executor.steal_seed = Some(num(k)?),
+                "threads" => {
+                    let v: usize = num(k)?;
+                    if v == 0 || v > 256 {
+                        return Err(out_of_range(k, format!("must be 1..=256 (got {v})")));
                     }
+                    executor.threads = Some(v);
                 }
                 _ => unreachable!("lexer rejects unknown executor keys"),
             }
         }
         if kind != TopoKind::Ring {
             for k in &s.keys {
-                if !matches!(k.key.as_str(), "mode" | "shards" | "steal-seed") {
+                if !matches!(k.key.as_str(), "mode" | "shards") {
                     return Err(conflict(k, format!("`{}` requires a ring topology", k.key)));
                 }
             }
@@ -804,13 +796,6 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
                     ));
                 }
             }
-            if exec_mode == ExecMode::Steal {
-                let k = find(Some(s), "mode").expect("steal came from the mode key");
-                return Err(conflict(
-                    k,
-                    "the steal executor is not supported in compete mode",
-                ));
-            }
         }
         if mode == Mode::Serve {
             for k in &s.keys {
@@ -823,17 +808,10 @@ pub fn parse_plan(text: &str) -> Result<Plan, ScenarioError> {
             }
         }
         if matches!(workload, Workload::Arrivals(_)) && mode == Mode::Run {
-            if exec_mode == ExecMode::Steal {
-                let k = find(Some(s), "mode").expect("steal came from the mode key");
-                return Err(conflict(
-                    k,
-                    "the steal executor is not supported for arrival workloads",
-                ));
-            }
             for k in &s.keys {
                 if matches!(
                     k.key.as_str(),
-                    "window" | "rebalance" | "tasks-per-shard" | "steal-seed" | "threads"
+                    "window" | "tasks-per-shard" | "steal-seed" | "threads"
                 ) {
                     return Err(conflict(
                         k,

@@ -166,10 +166,8 @@ pub enum ExecMode {
     /// The sequential reference executor (the default).
     #[default]
     Run,
-    /// The arc-parallel executor with static contiguous arcs.
+    /// The work-stealing parallel executor.
     Par,
-    /// The work-stealing executor with ledger rebalancing.
-    Steal,
 }
 
 impl ExecMode {
@@ -178,7 +176,6 @@ impl ExecMode {
         match self {
             ExecMode::Run => "run",
             ExecMode::Par => "par",
-            ExecMode::Steal => "steal",
         }
     }
 }
@@ -190,19 +187,17 @@ impl ExecMode {
 pub struct ExecutorSpec {
     /// Which executor runs the plan.
     pub mode: ExecMode,
-    /// Shard count for par/steal (`None` = 4).
+    /// Shard count for par (`None` = 4).
     pub shards: Option<usize>,
     /// Locality window (`u64::MAX` renders as `L`).
     pub window: Option<u64>,
     /// Quiescent-span step compression.
     pub compress: bool,
-    /// Ledger-driven arc recuts (steal only).
-    pub rebalance: Option<bool>,
-    /// Stealing granularity (steal only).
+    /// Stealing granularity (par only).
     pub tasks_per_shard: Option<usize>,
-    /// Steal-order perturbation seed (steal only).
+    /// Steal-order perturbation seed (par only).
     pub steal_seed: Option<u64>,
-    /// Forced worker-thread count (steal only).
+    /// Forced worker-thread count (par only).
     pub threads: Option<usize>,
 }
 
@@ -368,9 +363,6 @@ impl Plan {
             }
             if ex.compress {
                 s.push_str("compress = true\n");
-            }
-            if let Some(v) = ex.rebalance {
-                s.push_str(&format!("rebalance = {v}\n"));
             }
             if let Some(v) = ex.tasks_per_shard {
                 s.push_str(&format!("tasks-per-shard = {v}\n"));

@@ -120,41 +120,7 @@ impl DynamicInstance {
                 loads[a.processor] += a.count;
             }
             let rest = Instance::from_loads(loads);
-            best = best.max(r + ring_opt_free::uncapacitated_lower_bound(&rest));
-        }
-        best
-    }
-}
-
-/// A local re-implementation of the closed-form bounds so `ring-sched`
-/// does not depend on `ring-opt` (which depends back on `ring-sim` only;
-/// the dependency direction is kept acyclic). The formulas are one-liners;
-/// the authoritative, heavily-tested versions live in `ring-opt` and the
-/// two are cross-checked in the integration tests.
-mod ring_opt_free {
-    use ring_sim::Instance;
-
-    pub fn uncapacitated_lower_bound(inst: &Instance) -> u64 {
-        let m = inst.num_processors();
-        let loads = inst.loads();
-        let n: u64 = loads.iter().sum();
-        let mut best = n.div_ceil(m as u64);
-        for start in 0..m {
-            if loads[start] == 0 && m > 1 {
-                continue;
-            }
-            let mut work: u64 = 0;
-            for k in 1..=m {
-                work += loads[(start + k - 1) % m];
-                // smallest L with L^2 + (k-1)L >= work
-                let b = (k - 1) as f64 / 2.0;
-                let l = ((b * b + work as f64).sqrt() - b).ceil() as u64;
-                let mut l = l.saturating_sub(1);
-                while (l as u128) * (l as u128) + (k as u128 - 1) * (l as u128) < work as u128 {
-                    l += 1;
-                }
-                best = best.max(l);
-            }
+            best = best.max(r + ring_opt::uncapacitated_lower_bound(&rest));
         }
         best
     }
@@ -288,11 +254,10 @@ impl DynamicNode {
 /// [`run_dynamic`] does, or between engine spans, as the serving layer
 /// does.
 pub fn build_dynamic_nodes(m: usize, cfg: &UnitConfig) -> Vec<DynamicNode> {
-    let empty = Instance::empty(m);
-    crate::unit::build_unit_nodes(&empty, cfg)
-        .into_iter()
-        .map(|inner| DynamicNode {
-            inner,
+    assert!(cfg.c > 0.0, "the drop-off constant must be positive");
+    (0..m)
+        .map(|_| DynamicNode {
+            inner: crate::unit::UnitNode::new(cfg, 0),
             pending: std::collections::VecDeque::new(),
         })
         .collect()
@@ -412,7 +377,7 @@ pub fn run_dynamic(instance: &DynamicInstance, cfg: &UnitConfig) -> Result<Dynam
 }
 
 /// Runs a unit-job bucket algorithm on a dynamic instance through the
-/// arc-parallel engine (bit-identical to [`run_dynamic`], like
+/// parallel engine (bit-identical to [`run_dynamic`], like
 /// `run_unit_par` is to `run_unit`).
 pub fn run_dynamic_par(
     instance: &DynamicInstance,
@@ -525,20 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn local_bound_matches_ring_opt() {
-        for inst in [
-            Instance::from_loads(vec![100, 0, 0, 0, 7]),
-            Instance::from_loads(vec![3; 9]),
-            Instance::from_loads(vec![0, 50, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0]),
-        ] {
-            assert_eq!(
-                super::ring_opt_free::uncapacitated_lower_bound(&inst),
-                ring_opt::uncapacitated_lower_bound(&inst)
-            );
-        }
-    }
-
-    #[test]
     fn par_run_matches_sequential_on_dynamic_instances() {
         let d = DynamicInstance::new(
             16,
@@ -582,9 +533,7 @@ mod tests {
         ];
         for loads in cases {
             let quick = quick_clearance_bound(&loads);
-            let full = super::ring_opt_free::uncapacitated_lower_bound(&Instance::from_loads(
-                loads.clone(),
-            ));
+            let full = ring_opt::uncapacitated_lower_bound(&Instance::from_loads(loads.clone()));
             assert!(quick <= full, "quick {quick} > full {full} for {loads:?}");
             // Both are bounded below by the average and the deepest √load.
             let n: u64 = loads.iter().sum();

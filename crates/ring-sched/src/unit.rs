@@ -120,13 +120,13 @@ pub struct UnitConfig {
     /// ([`EngineConfig::compress`] — bit-identical results, fewer engine
     /// rounds on drain-dominated instances).
     pub compress: bool,
-    /// Locality-window override for the arc-parallel executor
+    /// Locality-window override for the parallel executor
     /// ([`EngineConfig::window`] — bit-identical results for every value;
     /// `None` defers to `RING_WINDOW` / the engine default).
     pub window: Option<u64>,
-    /// Parallel-executor strategy knobs ([`EngineConfig::par`] — static
-    /// contiguous arcs vs work-stealing with ledger-driven rebalancing;
-    /// bit-identical results for every setting).
+    /// Work-stealing executor tuning ([`EngineConfig::par`] — task
+    /// granularity, steal seed, thread count; bit-identical results for
+    /// every setting).
     pub par: ParConfig,
 }
 
@@ -238,7 +238,7 @@ impl UnitConfig {
     }
 
     /// Returns the same configuration with an explicit locality window for
-    /// the arc-parallel executor (`u64::MAX` means "as large as the
+    /// the parallel executor (`u64::MAX` means "as large as the
     /// shortest arc").
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = Some(window);
@@ -301,7 +301,7 @@ pub struct UnitNode {
 }
 
 impl UnitNode {
-    fn new(cfg: &UnitConfig, x: u64) -> Self {
+    pub(crate) fn new(cfg: &UnitConfig, x: u64) -> Self {
         UnitNode {
             variant: cfg.variant,
             directionality: cfg.directionality,
@@ -626,7 +626,7 @@ pub fn run_unit(instance: &Instance, cfg: &UnitConfig) -> Result<UnitRun, SimErr
     Ok(finish_unit_run(engine, report))
 }
 
-/// Runs one of the six unit-job algorithms through the arc-parallel engine.
+/// Runs one of the six unit-job algorithms through the parallel engine.
 ///
 /// The ring is split into `shards` contiguous arcs stepped on scoped
 /// threads ([`Engine::par_run`]); the resulting [`UnitRun`] is bit-for-bit
@@ -657,7 +657,7 @@ pub fn run_unit_faulty(
     Ok(finish_unit_run(engine, report))
 }
 
-/// [`run_unit_faulty`] through the arc-parallel engine — bit-for-bit
+/// [`run_unit_faulty`] through the parallel engine — bit-for-bit
 /// identical to the sequential run on the same instance, config, and plan.
 pub fn run_unit_par_faulty(
     instance: &Instance,
@@ -673,7 +673,7 @@ pub fn run_unit_par_faulty(
 /// Runs a unit-job algorithm with snapshotting: `sink` receives a
 /// [`Snapshot`] at every `every`-step boundary (the CLI writes them to
 /// disk). `shards` of `None` runs the sequential engine, `Some(s)` the
-/// arc-parallel one — the snapshots and the final [`UnitRun`] are
+/// parallel one — the snapshots and the final [`UnitRun`] are
 /// bit-identical either way, and identical to the uncheckpointed run.
 pub fn run_unit_checkpointed<F>(
     instance: &Instance,

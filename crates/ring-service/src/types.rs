@@ -118,7 +118,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Runs generations on the arc-parallel executor unconditionally
+    /// Runs generations on the parallel executor unconditionally
     /// (shorthand for `with_executor(ExecutorMode::Parallel(shards))`).
     ///
     /// # Panics

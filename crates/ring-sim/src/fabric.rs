@@ -29,19 +29,18 @@
 //! [`Fabric::run`] steps nodes `0..n` in index order. [`Fabric::par_run`]
 //! shards the id space along [`ring_topology::Topology::cuts`] (contiguous,
 //! seam-aligned ranges) and merges per-shard effects *in shard order*,
-//! which equals node order — so sequential and parallel runs, static or
-//! work-stealing, produce bit-for-bit identical [`RunReport`]s for every
-//! shard count. The workspace equivalence proptests assert this across
-//! topologies, fault plans and checkpoint cycles.
+//! which equals node order — so sequential and parallel runs produce
+//! bit-for-bit identical [`RunReport`]s for every shard count. The
+//! workspace equivalence proptests assert this across topologies, fault
+//! plans and checkpoint cycles.
 //!
 //! Ring policies lift unchanged: [`RingLift`] adapts any [`Node`] to a
 //! [`FabricNode`] by translating the port-tagged inbox back into the
 //! cw/ccw [`StepIo`] surface. The ring engine itself remains the fast path
-//! for rings (quiescent-span compression, windowed arc executors, the
-//! golden byte formats); the fabric is the generality path.
+//! for rings (quiescent-span compression, the windowed work-stealing
+//! executor, the golden byte formats); the fabric is the generality path.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use ring_topology::{AnyTopology, Topology};
 
@@ -50,8 +49,8 @@ use crate::checkpoint::{
     encode_metrics, fnv1a, CheckpointError, Decoder, Encoder, Persist, SNAPSHOT_MAGIC,
 };
 use crate::engine::{
-    transmit, EngineConfig, LinkCapacity, LinkQueue, Node, NodeCtx, ParStrategy, Payload,
-    RunReport, SpanOutcome, Staged, StepIo,
+    transmit, EngineConfig, LinkCapacity, LinkQueue, Node, NodeCtx, Payload, RunReport,
+    SpanOutcome, Staged, StepIo,
 };
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -294,10 +293,6 @@ struct ShardOut<M> {
     events: Vec<Event>,
     delta: RoundDelta,
 }
-
-/// One steal-pool result slot: filled exactly once by whichever worker
-/// claims the shard's task.
-type ShardSlot<M> = Mutex<Option<Result<ShardOut<M>, SimError>>>;
 
 /// Steps one node and drains its links for one round — the single
 /// per-node kernel shared by the sequential and parallel executors.
@@ -684,7 +679,6 @@ impl<N: FabricNode> Fabric<N> {
 
 /// One shard's slice of the mutable per-node state for one round.
 struct ShardTask<'a, N: FabricNode> {
-    idx: usize,
     lo: usize,
     nodes: &'a mut [N],
     cur: &'a mut [Vec<(usize, N::Msg)>],
@@ -743,9 +737,7 @@ where
 {
     /// Runs to completion with `shards` scoped workers over
     /// [`ring_topology::Topology::cuts`]; bit-identical to [`Fabric::run`]
-    /// for every shard count and both [`ParStrategy`] values
-    /// ([`crate::ParConfig::resolved_strategy`] picks, as for the ring
-    /// engine).
+    /// for every shard count.
     pub fn par_run(&mut self, shards: usize) -> Result<RunReport, SimError> {
         match self.drive_par(None, shards)? {
             SpanOutcome::Done(report) => Ok(*report),
@@ -798,7 +790,7 @@ where
                 &mut self.queue_cw[..],
                 &mut self.queue_ccw[..],
             );
-            for (idx, range) in cuts.iter().enumerate() {
+            for range in cuts {
                 let len = range.len();
                 let (n0, n1) = nodes.split_at_mut(len);
                 let (c0, c1) = cur.split_at_mut(len);
@@ -809,7 +801,6 @@ where
                 qcw = q1;
                 qccw = r1;
                 tasks.push(ShardTask {
-                    idx,
                     lo: range.start,
                     nodes: n0,
                     cur: c0,
@@ -821,80 +812,24 @@ where
 
         let topo = &self.topo;
         let link_capacity = self.config.link_capacity;
-        let n_shards = tasks.len();
-        let results: Vec<Option<Result<ShardOut<N::Msg>, SimError>>> =
-            match self.config.par.resolved_strategy() {
-                ParStrategy::Static => {
-                    // One scoped worker per shard for the round.
-                    let joined = std::thread::scope(|scope| {
-                        let handles: Vec<_> = tasks
-                            .into_iter()
-                            .map(|task| {
-                                scope.spawn(move || {
-                                    run_shard(task, topo, t, plan, link_capacity, record)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("fabric worker panicked"))
-                            .collect::<Vec<_>>()
-                    });
-                    joined.into_iter().map(Some).collect()
-                }
-                ParStrategy::Steal => {
-                    // A round-scoped pool: workers pop whole-shard tasks from
-                    // a shared deque (the seed picks which end each worker
-                    // pops, purely to diversify interleavings) and file
-                    // results by shard index, so the merge below is identical
-                    // to the static path whatever the steal schedule was.
-                    let seed = self.config.par.resolved_steal_seed();
-                    let workers = self
-                        .config
-                        .par
-                        .resolved_threads()
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism().map_or(1, usize::from)
-                        })
-                        .min(n_shards)
-                        .max(1);
-                    let queue = Mutex::new(tasks.into_iter().collect::<VecDeque<_>>());
-                    let slots: Vec<ShardSlot<N::Msg>> =
-                        (0..n_shards).map(|_| Mutex::new(None)).collect();
-                    std::thread::scope(|scope| {
-                        for w in 0..workers {
-                            let queue = &queue;
-                            let slots = &slots;
-                            scope.spawn(move || loop {
-                                let task = {
-                                    let mut q = queue.lock().expect("steal queue poisoned");
-                                    if (seed ^ w as u64) & 1 == 0 {
-                                        q.pop_front()
-                                    } else {
-                                        q.pop_back()
-                                    }
-                                };
-                                let Some(task) = task else { break };
-                                let idx = task.idx;
-                                let res = run_shard(task, topo, t, plan, link_capacity, record);
-                                *slots[idx].lock().expect("result slot poisoned") = Some(res);
-                            });
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|slot| slot.into_inner().expect("result slot poisoned"))
-                        .collect()
-                }
-            };
+        // One scoped worker per shard for the round.
+        let results: Vec<Result<ShardOut<N::Msg>, SimError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .map(|task| {
+                    scope.spawn(move || run_shard(task, topo, t, plan, link_capacity, record))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fabric worker panicked"))
+                .collect()
+        });
 
         // Merge in shard order = node order: first error wins
         // deterministically, then deliveries, events, work and deltas.
         let mut delta = RoundDelta::default();
-        let mut merged: Vec<ShardOut<N::Msg>> = Vec::with_capacity(n_shards);
-        for slot in results {
-            merged.push(slot.expect("every shard files a result")?);
-        }
+        let merged = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         for shard in merged {
             for (dest, ap, msg) in shard.deliveries {
                 self.spare[dest].push((ap, msg));
@@ -1316,20 +1251,16 @@ mod tests {
     }
 
     #[test]
-    fn par_static_and_steal_match_sequential_bit_for_bit() {
+    fn par_run_matches_sequential_bit_for_bit() {
         for topo in shapes() {
             let loads = skewed_loads(topo.len());
             let seq = run_seq(&topo, &loads, &full_cfg(None));
             for shards in [1, 2, 3, topo.len()] {
-                for strategy in [ParStrategy::Static, ParStrategy::Steal] {
-                    let mut cfg = full_cfg(None);
-                    cfg.par.strategy = Some(strategy);
-                    let nodes = Diffuser::fleet(&loads, &topo);
-                    let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), cfg)
-                        .par_run(shards)
-                        .unwrap();
-                    assert_eq!(seq, par, "{} shards={shards} {strategy:?}", topo.spec());
-                }
+                let nodes = Diffuser::fleet(&loads, &topo);
+                let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), full_cfg(None))
+                    .par_run(shards)
+                    .unwrap();
+                assert_eq!(seq, par, "{} shards={shards}", topo.spec());
             }
         }
     }
@@ -1376,15 +1307,11 @@ mod tests {
             let violations = check_fabric_run(&loads, &topo, &seq, Some(&plan));
             assert!(violations.is_empty(), "{}: {violations:?}", topo.spec());
             for shards in [2, topo.len().div_ceil(2)] {
-                for strategy in [ParStrategy::Static, ParStrategy::Steal] {
-                    let mut cfg = cfg.clone();
-                    cfg.par.strategy = Some(strategy);
-                    let nodes = Diffuser::fleet(&loads, &topo);
-                    let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), cfg)
-                        .par_run(shards)
-                        .unwrap();
-                    assert_eq!(seq, par, "{} shards={shards} {strategy:?}", topo.spec());
-                }
+                let nodes = Diffuser::fleet(&loads, &topo);
+                let par = Fabric::new(topo.clone(), nodes, loads.iter().sum(), cfg.clone())
+                    .par_run(shards)
+                    .unwrap();
+                assert_eq!(seq, par, "{} shards={shards}", topo.spec());
             }
         }
     }

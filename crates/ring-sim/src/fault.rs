@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a *pure schedule* of degradations: every query is a
 //! function of `(plan, node/link, step)` and nothing else, so the sequential
-//! and the arc-parallel executors evaluate exactly the same faults and stay
+//! and the parallel executor evaluate exactly the same faults and stay
 //! bit-for-bit identical (asserted by the workspace equivalence proptests).
 //!
 //! Three fault families are modelled, all scoped to half-open step epochs

@@ -53,7 +53,7 @@ pub use checkpoint::{
 };
 pub use engine::{
     Audit, Coalesce, DropRecord, Engine, EngineConfig, Inbox, LinkCapacity, Node, NodeCtx, Outbox,
-    ParConfig, ParStrategy, Payload, Quiescence, RunReport, SpanOutcome, StepIo,
+    ParConfig, Payload, Quiescence, RunReport, SpanOutcome, StepIo,
 };
 pub use error::SimError;
 pub use fabric::{Fabric, FabricCtx, FabricNode, FabricOutbox, RingLift, FABRIC_SNAPSHOT_VERSION};

@@ -71,7 +71,7 @@ impl Metrics {
 /// One step of the opt-in observability time series.
 ///
 /// Every counter is an exact integer so samples from the sequential and
-/// arc-parallel executors compare bit-for-bit; derived floating-point views
+/// parallel executors compare bit-for-bit; derived floating-point views
 /// (imbalance, utilization) are computed on demand from these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepSample {

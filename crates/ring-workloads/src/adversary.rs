@@ -101,7 +101,7 @@ pub fn section5_pair(w: u64, z: usize, m: usize) -> (ArrivalScript, ArrivalScrip
 
 /// A migration-punishing sequence: bursts alternate between a processor
 /// and its antipode with spacing just long enough that a migrating
-/// algorithm has committed its rebalance before the counter-burst lands.
+/// algorithm has committed its migration before the counter-burst lands.
 /// Work migrated toward the previous burst is maximally far from the next.
 ///
 /// # Panics

@@ -7,7 +7,7 @@
 //! cost. As a *scheduling* workload the same access pattern makes a
 //! pointed adversary: the work hotspot performs a seeded random walk, and
 //! every wave releases most of its jobs near the hotspot with a thin
-//! uniform background. Online schedulers that rebalance toward the current
+//! uniform background. Online schedulers that shift load toward the current
 //! hotspot are punished when it walks away — the scheduling analogue of
 //! paying for page migration — while the offline optimum sees the whole
 //! walk in advance.

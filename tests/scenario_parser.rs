@@ -127,13 +127,19 @@ fn rejection_table() -> Vec<Rejection> {
             input: "[scenario]\nname = t\n\n[workload]\nloads = 4\n\n[executor]\nwindow = 16\n",
             line: 8,
             col: 1,
-            kind: conflict("`window` requires executor mode par or steal"),
+            kind: conflict("`window` requires executor mode par"),
         },
         Rejection {
-            input: "[scenario]\nname = t\n\n[workload]\nloads = 4\n\n[executor]\nmode = par\nsteal-seed = 3\n",
-            line: 9,
+            input: "[scenario]\nname = t\n\n[workload]\nloads = 4\n\n[executor]\nsteal-seed = 3\n",
+            line: 8,
             col: 1,
-            kind: conflict("`steal-seed` requires executor mode steal"),
+            kind: conflict("`steal-seed` requires executor mode par"),
+        },
+        Rejection {
+            input: "[scenario]\nname = t\n\n[topology]\nkind = torus\nrows = 3\ncols = 3\n\n[workload]\nshape = concentrated\nn = 9\n\n[executor]\nmode = par\nsteal-seed = 3\n",
+            line: 15,
+            col: 1,
+            kind: conflict("`steal-seed` requires a ring topology"),
         },
         Rejection {
             input: "[scenario]\nname = t\n\n[workload]\ncatalog = all\nloads = 1 2\n",
@@ -195,6 +201,21 @@ fn rejection_table() -> Vec<Rejection> {
             line: 3,
             col: 8,
             kind: bad("mode", "`batch` is not run, compete, or serve"),
+        },
+        Rejection {
+            input: "[scenario]\nname = t\n\n[workload]\nloads = 4\n\n[executor]\nmode = steal\n",
+            line: 8,
+            col: 8,
+            kind: bad(
+                "mode",
+                "`steal` is not an executor mode (`par` is the work-stealing executor)",
+            ),
+        },
+        Rejection {
+            input: "[scenario]\nname = t\n\n[workload]\nloads = 4\n\n[executor]\nmode = par\nrebalance = true\n",
+            line: 9,
+            col: 1,
+            kind: ErrorKind::UnknownKey("rebalance".to_string()),
         },
         Rejection {
             input: "[scenario]\nname = t\n\n[workload]\ncase = I-m10-d1-missing\n",
@@ -261,18 +282,18 @@ fn rejections_display_line_and_column() {
 // Random-plan round trips: parse(render(p)) == p for every mode.
 // ---------------------------------------------------------------------------
 
-fn random_executor(rng: &mut StdRng, allow_steal: bool) -> ExecutorSpec {
-    let mode = match rng.gen_range(0..if allow_steal { 3 } else { 2 }) {
-        0 => ExecMode::Run,
-        1 => ExecMode::Par,
-        _ => ExecMode::Steal,
+fn random_executor(rng: &mut StdRng) -> ExecutorSpec {
+    let mode = if rng.gen_bool(0.5) {
+        ExecMode::Run
+    } else {
+        ExecMode::Par
     };
     let mut ex = ExecutorSpec {
         mode,
         compress: rng.gen_bool(0.3),
         ..ExecutorSpec::default()
     };
-    if mode != ExecMode::Run {
+    if mode == ExecMode::Par {
         if rng.gen_bool(0.7) {
             ex.shards = Some(rng.gen_range(1..=16));
         }
@@ -282,11 +303,6 @@ fn random_executor(rng: &mut StdRng, allow_steal: bool) -> ExecutorSpec {
             } else {
                 rng.gen_range(1..=64)
             });
-        }
-    }
-    if mode == ExecMode::Steal {
-        if rng.gen_bool(0.5) {
-            ex.rebalance = Some(rng.gen_bool(0.5));
         }
         if rng.gen_bool(0.5) {
             ex.tasks_per_shard = Some(rng.gen_range(1..=8));
@@ -378,11 +394,10 @@ fn random_run_plan(rng: &mut StdRng, idx: u64) -> Plan {
     };
     let arrivals = matches!(workload, Workload::Arrivals(_));
     let faultable = matches!(workload, Workload::Loads(_) | Workload::Shape { .. });
-    let mut executor = random_executor(rng, !arrivals);
+    let mut executor = random_executor(rng);
     if arrivals {
         // Arrival workloads accept only the plain par knobs.
         executor.window = None;
-        executor.rebalance = None;
         executor.tasks_per_shard = None;
         executor.steal_seed = None;
         executor.threads = None;

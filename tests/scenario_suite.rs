@@ -9,15 +9,15 @@
 //!   `catalog-part*.ring` sweeps must reproduce all 306 rows of
 //!   `tests/golden_makespans.txt`, and `compete-catalog.ring` the 80
 //!   measurement rows of `tests/golden_ratios.txt`;
-//! * the executor matrix: every portable scenario digests identically and
-//!   trace-diffs clean under `run`, `par`, and `steal`, and every captured
+//! * the executor matrix: every traced run-mode scenario digests identically and
+//!   trace-diffs clean under `run` and `par`, and every captured
 //!   trace replays oracle-clean.
 //!
 //! The binary-trace size gate lives here too: on the m=4096 drain shape
 //! the `RINGTRACE` form must be at most a quarter of the JSON full-trace
 //! form.
 
-use ring_scenario::{execute, parse_plan, ExecMode, Mode, Plan, Workload};
+use ring_scenario::{execute, parse_plan, ExecMode, Mode, Plan};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -195,16 +195,6 @@ fn compete_catalog_scenario_reproduces_golden_ratios() {
     );
 }
 
-/// Which executor modes a plan can portably run under (steal is illegal
-/// for arrival workloads; everything static takes all three).
-fn portable_modes(plan: &Plan) -> &'static [ExecMode] {
-    if matches!(plan.workload, Workload::Arrivals(_)) {
-        &[ExecMode::Run, ExecMode::Par]
-    } else {
-        &[ExecMode::Run, ExecMode::Par, ExecMode::Steal]
-    }
-}
-
 /// The executor matrix: every run-mode scenario (the catalog sweeps are
 /// covered by the digest test; here we take the trace-carrying ones so
 /// the diff is meaningful) digests identically and trace-diffs clean
@@ -216,7 +206,7 @@ fn executors_agree_and_traces_replay_clean() {
             continue;
         }
         let mut reference: Option<(ExecMode, ring_scenario::PlanReport)> = None;
-        for &mode in portable_modes(&base_plan) {
+        for mode in [ExecMode::Run, ExecMode::Par] {
             let mut plan = base_plan.clone();
             plan.executor.mode = mode;
             let report =

@@ -139,6 +139,6 @@ fn recovery_is_executor_independent() {
     assert_eq!(pre_seq, pre_par);
     assert_eq!(
         post_seq, post_par,
-        "resuming on the arc-parallel executor must not change the log"
+        "resuming on the parallel executor must not change the log"
     );
 }

@@ -1,7 +1,6 @@
 //! Cross-executor equivalence on non-ring topologies.
 //!
-//! The fabric engine's contract — `run` ≡ `par_run` (static *and* steal)
-//! bit-identically — was pinned on rings long before the topology
+//! The fabric engine's contract — `run` ≡ `par_run` bit-identically — was pinned on rings long before the topology
 //! generalization. This battery pins it on every other shape: random
 //! hierarchical rings, tori, and cliques under random fault plans, with
 //! the conservation oracle replaying every trace and `RINGSNAP`
@@ -16,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ring_sched::{run_fabric, CliqueNode, DiffusionNode, FabricAlgo};
 use ring_sim::{
-    check_fabric_run, AnyTopology, Clique, EngineConfig, Fabric, FaultPlan, HierRing, ParStrategy,
-    RunReport, SpanOutcome, Topology, Torus2D, TraceLevel,
+    check_fabric_run, AnyTopology, Clique, EngineConfig, Fabric, FaultPlan, HierRing, RunReport,
+    SpanOutcome, Topology, Torus2D, TraceLevel,
 };
 
 /// Base 12 cases per property, scaled by `RING_FAULT_SEEDS`.
@@ -66,8 +65,8 @@ fn full_cfg(faults: Option<FaultPlan>) -> EngineConfig {
     }
 }
 
-/// `run` ≡ `par_run(static)` ≡ `par_run(steal)` on a random topology
-/// under a random fault plan, oracle-clean.
+/// `run` ≡ `par_run` on a random topology under a random fault plan,
+/// oracle-clean.
 fn assert_executors_agree(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = random_topology(&mut rng);
@@ -102,17 +101,9 @@ fn assert_executors_agree(seed: u64) {
     );
 
     let shards = rng.gen_range(1..=6);
-    let par = run_fabric(&topo, &loads, algo, full_cfg(plan.clone()), Some(shards))
+    let par = run_fabric(&topo, &loads, algo, full_cfg(plan), Some(shards))
         .unwrap_or_else(|e| panic!("{} par: {e}", topo.spec()));
-    assert_eq!(seq, par, "{} static shards={shards}", topo.spec());
-
-    let steal_shards = rng.gen_range(1..=6);
-    let mut cfg = full_cfg(plan);
-    cfg.par.strategy = Some(ParStrategy::Steal);
-    cfg.par.steal_seed = Some(rng.gen_range(0..u64::MAX));
-    let steal = run_fabric(&topo, &loads, algo, cfg, Some(steal_shards))
-        .unwrap_or_else(|e| panic!("{} steal: {e}", topo.spec()));
-    assert_eq!(seq, steal, "{} steal shards={steal_shards}", topo.spec());
+    assert_eq!(seq, par, "{} shards={shards}", topo.spec());
 }
 
 /// Pause under one shard count, snapshot, resume into fresh nodes under
