@@ -31,9 +31,9 @@ fn service_config(flags: &HashMap<String, String>) -> ServiceConfig {
     if flags.contains_key("slo") {
         cfg = cfg.with_slo_horizon(crate::get_u64(flags, "slo", u64::MAX));
     }
-    // Executor selection: the default is `auto` (parallel only where the
-    // ring is big enough to win); `--par <n>` forces n shards, `--par seq`
-    // forces the sequential executor.
+    // Executor selection: the default is `auto` (the measured best
+    // executor, currently sequential); `--par <n>` forces n shards, `--par
+    // seq` forces the sequential executor.
     match flags.get("par").map(String::as_str) {
         None | Some("auto") => {}
         Some("seq") | Some("0") => cfg = cfg.with_executor(ExecutorMode::Sequential),

@@ -38,7 +38,8 @@
 //! vector has exactly one writer per round, the two produce bit-for-bit
 //! identical [`RunReport`]s.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::checkpoint::{self, CheckpointError, Decoder, Encoder, Persist, Snapshot, StagedBlob};
 use crate::error::SimError;
@@ -339,10 +340,14 @@ pub trait Node {
     /// - reports `pending_work()` after the round equal to its value before
     ///   the span minus `min(backlog, j + 1)`.
     ///
-    /// The engine only fast-forwards when *every* node is quiescent and no
-    /// messages are in flight or queued, so the empty-inbox premise holds by
-    /// construction. Returning `None` (the default) opts the node out and
-    /// is always safe.
+    /// The engine relies on the promise only while its premise holds:
+    /// whole-ring compression needs every node quiescent with no message
+    /// in flight or queued, and both executors skip a single quiescent
+    /// node (`backlog == 0`) only for rounds in which its own inbox is
+    /// empty, paying the skipped rounds through [`Node::fast_forward`]
+    /// before it next steps or is asked for a fresh promise — so `now` is
+    /// always the node's own current round. Returning `None` (the default)
+    /// opts the node out and is always safe.
     fn quiescence(&self, now: u64) -> Option<Quiescence> {
         let _ = now;
         None
@@ -424,12 +429,15 @@ pub struct EngineConfig {
     pub trace: TraceLevel,
     /// Collect the per-step [`Observability`] time series (off by default:
     /// it costs one `pending_work` call and a payload sum per node per
-    /// step).
+    /// step, so [`Engine::run`] visits every node each round instead of
+    /// only its sparse frontier of active nodes).
     pub observe: bool,
     /// Deterministic fault schedule (`None` injects nothing and keeps the
     /// zero-overhead fast path; `Some` of an empty plan takes the fault
     /// path but produces bit-identical results to `None`). Honored
-    /// identically by [`Engine::run`] and [`Engine::par_run`].
+    /// identically by [`Engine::run`] and [`Engine::par_run`]; with a plan
+    /// set, both visit and step every node each round, since links keep
+    /// draining while their owner stalls.
     pub faults: Option<FaultPlan>,
     /// Quiescent-span step compression: when every node reports (via
     /// [`Node::quiescence`]) that its next state-changing event is `k ≥ 2`
@@ -866,6 +874,140 @@ fn step_node_and_links<N: Node>(
                 ..LinkDeparture::default()
             };
             Ok((step, dep_cw, dep_ccw))
+        }
+    }
+}
+
+/// The quiet-node rule shared by both executors: without a fault plan and
+/// with an empty inbox, a node whose cached promise (`t < quiet_until`) or
+/// fresh [`Node::quiescence`] declares a zero-backlog span covering `t` is
+/// a total no-op this round — no sends, no processing, no audits — so the
+/// executor skips it and owes it the round through [`Node::fast_forward`]
+/// before it next steps (DESIGN.md §6). Before a fresh promise is asked
+/// for, the `owed` skipped rounds are paid, so the promise describes the
+/// node's current state. The promise is cached in `quiet_until`; the
+/// caller resets it to 0 whenever the node steps.
+#[inline]
+fn quiet_round<N: Node>(
+    node: &mut N,
+    t: u64,
+    faulted: bool,
+    from_ccw: &[N::Msg],
+    from_cw: &[N::Msg],
+    quiet_until: &mut u64,
+    owed: &mut u64,
+) -> bool {
+    if faulted || !from_ccw.is_empty() || !from_cw.is_empty() {
+        return false;
+    }
+    if t < *quiet_until {
+        return true;
+    }
+    if *owed > 0 {
+        node.fast_forward(std::mem::take(owed));
+    }
+    match node.quiescence(t) {
+        Some(q) if q.backlog == 0 && q.span >= 1 => {
+            *quiet_until = t.saturating_add(q.span);
+            true
+        }
+        _ => false,
+    }
+}
+
+/// `slept_at` value of a node that owes no skipped rounds.
+const AWAKE: u64 = u64::MAX;
+
+/// Pays every sleeping node's skipped-round debt up to step boundary `t`
+/// (`fast_forward(t − slept_at)`), so node state is exactly what stepping
+/// every round would have left. Sleepers stay asleep, owing rounds from
+/// `t` on.
+fn settle_sleepers<N: Node>(nodes: &mut [N], slept_at: &mut [u64], t: u64) {
+    for (node, s) in nodes.iter_mut().zip(slept_at) {
+        if *s < t {
+            node.fast_forward(t - *s);
+            *s = t;
+        }
+    }
+}
+
+/// The sequential engine's sparse frontier: the nodes [`Engine::run`]
+/// visits in the current round, one bit per node, scanned in ascending
+/// order so per-cell event order is that of a full sweep. A node enters
+/// next round's frontier when it steps or a neighbour pushes into its
+/// arena; a sleeping node re-enters when its cached quiescence promise
+/// expires, through a min-heap of expiries.
+struct Frontier {
+    m: usize,
+    /// Visit every node this round, whatever the bits say.
+    all: bool,
+    cur: Vec<u64>,
+    next: Vec<u64>,
+    wake: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The latest expiry queued per node (0 = none), so re-arming the same
+    /// promise does not grow the heap.
+    queued: Vec<u64>,
+}
+
+impl Frontier {
+    fn new(m: usize) -> Self {
+        let words = m.div_ceil(64);
+        Frontier {
+            m,
+            all: true,
+            cur: vec![0; words],
+            next: vec![0; words],
+            wake: BinaryHeap::new(),
+            queued: vec![0; m],
+        }
+    }
+
+    /// The first frontier node at or after `i`.
+    #[inline]
+    fn next_from(&self, i: usize) -> Option<usize> {
+        if self.all {
+            return (i < self.m).then_some(i);
+        }
+        let mut w = i >> 6;
+        let mut bits = *self.cur.get(w)? & (!0u64 << (i & 63));
+        while bits == 0 {
+            w += 1;
+            bits = *self.cur.get(w)?;
+        }
+        Some((w << 6) | bits.trailing_zeros() as usize)
+    }
+
+    /// Puts node `i` in next round's frontier.
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        self.next[i >> 6] |= 1 << (i & 63);
+    }
+
+    /// Node `i` fell asleep on a promise lasting until `until`.
+    fn sleep(&mut self, i: usize, until: u64) {
+        if until != u64::MAX && self.queued[i] != until {
+            self.queued[i] = until;
+            self.wake.push(Reverse((until, i)));
+        }
+    }
+
+    /// Moves to round `t`: next round's marks become the frontier, plus
+    /// every sleeper whose promise (still `quiet_until`) expires by `t`.
+    fn advance(&mut self, t: u64, quiet_until: &[u64]) {
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.next.fill(0);
+        self.all = false;
+        while let Some(&Reverse((at, i))) = self.wake.peek() {
+            if at > t {
+                break;
+            }
+            self.wake.pop();
+            if self.queued[i] == at {
+                self.queued[i] = 0;
+            }
+            if quiet_until[i] == at {
+                self.cur[i >> 6] |= 1 << (i & 63);
+            }
         }
     }
 }
@@ -1489,10 +1631,27 @@ impl<N: Node> Engine<N> {
             _ => None,
         };
 
+        // Sparse frontier (DESIGN.md §6): a round visits only the nodes in
+        // `frontier`, and a visited node the quiet-node rule skips falls
+        // asleep, owing `t − slept_at[i]` rounds that `fast_forward` pays
+        // before it next steps — and for every node before anything can
+        // observe node state (pause, checkpoint, compression, completion,
+        // error). Under a fault plan every node is visited and stepped
+        // (links drain while their owner stalls); under `observe` every
+        // node is visited (samples read every node) but quiet ones are
+        // still skipped. A round after an all-busy one is dense: every node
+        // steps, so no quiescence is queried.
+        let visit_all = plan.is_some() || obs.is_some();
+        let mut frontier = Frontier::new(m);
+        let mut quiet_until: Vec<u64> = vec![0; m];
+        let mut slept_at: Vec<u64> = vec![AWAKE; m];
+        let mut busy_last_round: usize = 0;
+
         let mut processed_total: u64 = metrics.total_processed();
         let mut t: u64 = start_t;
         loop {
             if t >= max_steps {
+                settle_sleepers(&mut self.nodes, &mut slept_at, t);
                 return Err(SimError::ExceededMaxSteps {
                     max_steps,
                     processed: processed_total,
@@ -1504,8 +1663,10 @@ impl<N: Node> Engine<N> {
             // engine (the in-memory analogue of the checkpoint below — the
             // loop state here *is* the step-`t` image) and hand control back
             // to the caller. Completion is checked at the end of round t-1,
-            // so a finished run never pauses.
+            // so a finished run never pauses. The frontier is not kept: the
+            // caller may change any node before the next span.
             if pause_at == Some(t) {
+                settle_sleepers(&mut self.nodes, &mut slept_at, t);
                 self.resume = Some(ResumeState {
                     t0: t,
                     prev_round_departed,
@@ -1528,6 +1689,7 @@ impl<N: Node> Engine<N> {
             // all trace events < t), so the snapshot is self-contained.
             if let Some(every) = cp_every {
                 if t > start_t && t % every == 0 {
+                    settle_sleepers(&mut self.nodes, &mut slept_at, t);
                     let hook = self.checkpoint.as_mut().expect("gated on hook presence");
                     let snap = build_snapshot(
                         hook.save_msg,
@@ -1565,6 +1727,7 @@ impl<N: Node> Engine<N> {
                 && queue_cw.iter().all(VecDeque::is_empty)
                 && queue_ccw.iter().all(VecDeque::is_empty)
             {
+                settle_sleepers(&mut self.nodes, &mut slept_at, t);
                 // A compressed span must not jump over a checkpoint
                 // boundary, so its budget is additionally capped at the
                 // distance to the next one; a boundary landing inside a
@@ -1603,33 +1766,28 @@ impl<N: Node> Engine<N> {
                         // compressed round, including the last.
                         metrics.last_busy_step = Some(t + k - 1);
                     }
-                    for node in self.nodes.iter_mut() {
-                        node.fast_forward(k);
+                    // Sleepers keep owing rounds; everyone else drains now.
+                    for (node, &s) in self.nodes.iter_mut().zip(&slept_at) {
+                        if s == AWAKE {
+                            node.fast_forward(k);
+                        }
                     }
                     t += k;
                     metrics.steps = t;
                     if processed_total > self.total_work {
+                        settle_sleepers(&mut self.nodes, &mut slept_at, t);
                         return Err(SimError::WorkMiscount {
                             processed: processed_total,
                             total: self.total_work,
                         });
                     }
                     if processed_total == self.total_work {
-                        debug_assert!(
-                            self.nodes.iter().all(|n| n.pending_work() == 0),
-                            "all work processed but a node still reports pending work"
-                        );
-                        let makespan = metrics.last_busy_step.expect("work was processed") + 1;
-                        let report = RunReport {
-                            makespan,
-                            metrics,
-                            trace,
-                            observability: obs,
-                        };
-                        self.self_check(&report);
-                        self.finished = true;
-                        return Ok(SpanOutcome::Done(Box::new(report)));
+                        settle_sleepers(&mut self.nodes, &mut slept_at, t);
+                        return Ok(self.complete(metrics, trace, obs));
                     }
+                    // Promises may have expired inside the span: re-examine
+                    // every node once.
+                    frontier.all = true;
                     continue;
                 }
             }
@@ -1649,12 +1807,50 @@ impl<N: Node> Engine<N> {
                 }
             }
 
+            let dense = plan.is_none() && busy_last_round == m;
+            frontier.all |= visit_all || dense;
+            let mut busy_nodes: usize = 0;
             let mut inflight_payload: u64 = 0;
             let mut sample = StepSample {
                 t,
                 ..StepSample::default()
             };
-            for i in 0..m {
+            let mut cursor = 0;
+            while let Some(i) = frontier.next_from(cursor) {
+                cursor = i + 1;
+                // An all-busy last round stepped every node, which cleared
+                // every promise and debt; dense rounds never re-arm them.
+                if !dense {
+                    let node = &mut self.nodes[i];
+                    let mut owed = t.saturating_sub(slept_at[i]);
+                    if quiet_round(
+                        node,
+                        t,
+                        plan.is_some(),
+                        &cur_cw[i],
+                        &cur_ccw[i],
+                        &mut quiet_until[i],
+                        &mut owed,
+                    ) {
+                        // Asleep from round t on (or still asleep, owing
+                        // `owed` rounds since `slept_at`).
+                        slept_at[i] = t - owed;
+                        if !visit_all {
+                            frontier.sleep(i, quiet_until[i]);
+                        }
+                        if obs.is_some() {
+                            let pending = node.pending_work();
+                            sample.max_pending = sample.max_pending.max(pending);
+                            sample.total_pending += pending;
+                        }
+                        continue;
+                    }
+                    quiet_until[i] = 0;
+                    slept_at[i] = AWAKE;
+                    if owed > 0 {
+                        node.fast_forward(owed);
+                    }
+                }
                 let ctx = NodeCtx {
                     id: i,
                     t,
@@ -1672,7 +1868,7 @@ impl<N: Node> Engine<N> {
                 // self-delivery of a singleton ring). Staging through
                 // `FaultLinks` keeps one writer per destination slot even
                 // when a plan reroutes departures through link queues.
-                let (step, dep_cw, dep_ccw) = {
+                let stepped = {
                     let faults = plan.as_ref().map(|plan| FaultLinks {
                         plan,
                         queue_cw: &mut queue_cw[i],
@@ -1690,9 +1886,23 @@ impl<N: Node> Engine<N> {
                         self.config.link_capacity,
                         record_audit.then_some(&mut audit_buf),
                         faults,
-                    )?
+                    )
+                };
+                let (step, dep_cw, dep_ccw) = match stepped {
+                    Ok(out) => out,
+                    Err(err) => {
+                        settle_sleepers(&mut self.nodes, &mut slept_at, t);
+                        return Err(err);
+                    }
                 };
 
+                frontier.mark(i);
+                if !next_cw[dest_cw].is_empty() {
+                    frontier.mark(dest_cw);
+                }
+                if !next_ccw[dest_ccw].is_empty() {
+                    frontier.mark(dest_ccw);
+                }
                 round_departed += dep_cw.messages + dep_ccw.messages;
 
                 // Per-cell event order: DroppedOff*, Processed, Sent cw,
@@ -1712,6 +1922,7 @@ impl<N: Node> Engine<N> {
                     });
                 }
                 if step.work_done > 0 {
+                    busy_nodes += 1;
                     processed_total += step.work_done;
                     metrics.processed_per_node[i] += step.work_done;
                     metrics.busy_steps_per_node[i] += 1;
@@ -1774,33 +1985,48 @@ impl<N: Node> Engine<N> {
             std::mem::swap(&mut cur_ccw, &mut next_ccw);
             // next_* now hold the cleared previous-round vectors.
             prev_round_departed = round_departed;
+            busy_last_round = busy_nodes;
 
             t += 1;
             metrics.steps = t;
+            frontier.advance(t, &quiet_until);
 
             if processed_total > self.total_work {
+                settle_sleepers(&mut self.nodes, &mut slept_at, t);
                 return Err(SimError::WorkMiscount {
                     processed: processed_total,
                     total: self.total_work,
                 });
             }
             if processed_total == self.total_work {
-                debug_assert!(
-                    self.nodes.iter().all(|n| n.pending_work() == 0),
-                    "all work processed but a node still reports pending work"
-                );
-                let makespan = metrics.last_busy_step.expect("work was processed") + 1;
-                let report = RunReport {
-                    makespan,
-                    metrics,
-                    trace,
-                    observability: obs,
-                };
-                self.self_check(&report);
-                self.finished = true;
-                return Ok(SpanOutcome::Done(Box::new(report)));
+                settle_sleepers(&mut self.nodes, &mut slept_at, t);
+                return Ok(self.complete(metrics, trace, obs));
             }
         }
+    }
+
+    /// Packs a finished sequential run into its report (every unit of
+    /// work processed, every sleeper's debt paid).
+    fn complete(
+        &mut self,
+        metrics: Metrics,
+        trace: Trace,
+        obs: Option<Observability>,
+    ) -> SpanOutcome {
+        debug_assert!(
+            self.nodes.iter().all(|n| n.pending_work() == 0),
+            "all work processed but a node still reports pending work"
+        );
+        let makespan = metrics.last_busy_step.expect("work was processed") + 1;
+        let report = RunReport {
+            makespan,
+            metrics,
+            trace,
+            observability: obs,
+        };
+        self.self_check(&report);
+        self.finished = true;
+        SpanOutcome::Done(Box::new(report))
     }
 
     /// Runs the simulation to completion on a work-stealing pool of up to
@@ -2555,12 +2781,11 @@ mod par {
         // `i`'s own promise (`Node::quiescence` with `backlog == 0`) that,
         // given empty inboxes, every round before `quiet_until[i]` is a
         // total no-op — no sends, no processing, no audits, no state
-        // change. Such rounds skip `step_node_and_links` entirely, which is
-        // what lets the parallel executor beat the sequential reference on
-        // sparse rings: `Engine::run` sweeps all `m` nodes every round, the
-        // tasks only touch the active frontier. The cache is invalidated
-        // whenever the node actually steps; a delivery makes the inbox
-        // non-empty, which disables the skip on its own.
+        // change. Such rounds skip `step_node_and_links` entirely — the
+        // same `quiet_round` rule `Engine::run` applies to its frontier.
+        // The cache is invalidated whenever the node actually steps; a
+        // delivery makes the inbox non-empty, which disables the skip on
+        // its own.
         //
         // A skipped round is still a round to the node's *internal* drain
         // state (`process_tick` advances the fractional shadow even at zero
@@ -3276,26 +3501,23 @@ mod par {
         for i in lo..hi {
             let j = i - lo;
             if !dense {
-                if plan.is_none() && cur_cw[j].is_empty() && cur_ccw[j].is_empty() {
-                    let quiet = t < quiet_until[j] || {
-                        match nodes[j].quiescence(t) {
-                            Some(q) if q.backlog == 0 && q.span >= 1 => {
-                                quiet_until[j] = t.saturating_add(q.span);
-                                true
-                            }
-                            _ => false,
-                        }
-                    };
-                    if quiet {
-                        quiet_debt[j] += 1;
-                        quiet_nodes += 1;
-                        if partial.obs.is_some() {
-                            let pending = nodes[j].pending_work();
-                            sample.max_pending = sample.max_pending.max(pending);
-                            sample.total_pending += pending;
-                        }
-                        continue;
+                if quiet_round(
+                    &mut nodes[j],
+                    t,
+                    plan.is_some(),
+                    &cur_cw[j],
+                    &cur_ccw[j],
+                    &mut quiet_until[j],
+                    &mut quiet_debt[j],
+                ) {
+                    quiet_debt[j] += 1;
+                    quiet_nodes += 1;
+                    if partial.obs.is_some() {
+                        let pending = nodes[j].pending_work();
+                        sample.max_pending = sample.max_pending.max(pending);
+                        sample.total_pending += pending;
                     }
+                    continue;
                 }
                 quiet_until[j] = 0;
                 if quiet_debt[j] > 0 {
@@ -4345,5 +4567,216 @@ mod checkpoint_tests {
         par.on_checkpoint(|_| Err(CheckpointError::Io("disk full".into())));
         let par_err = par.par_run(3).unwrap_err();
         assert_eq!(format!("{err:?}"), format!("{par_err:?}"));
+    }
+}
+
+#[cfg(test)]
+mod frontier_tests {
+    use super::delivery_tests::Token;
+    use super::*;
+    use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
+
+    /// A clockwise relay whose nodes keep a clock: every round a node lives
+    /// through — stepped or fast-forwarded — ticks it, so a skipped round
+    /// the engine fails to pay back shows up in node state and in
+    /// checkpoint bytes. A node may hold one token to emit at `emit_at`,
+    /// which makes it promise a finite quiet span until then (the timer
+    /// wake path), measured on its own clock: a promise asked of a node
+    /// still owing rounds would be too long. Counters record how often the
+    /// engine touched the node.
+    struct Ticker {
+        emit_at: u64,
+        sink: bool,
+        held: u64,
+        clock: u64,
+        on_steps: u64,
+        queries: Cell<u64>,
+    }
+
+    impl Node for Ticker {
+        type Msg = Token;
+
+        fn on_step(&mut self, ctx: &NodeCtx, io: &mut StepIo<'_, Token>) -> u64 {
+            self.clock += 1;
+            self.on_steps += 1;
+            self.held += (io.inbox.from_ccw.len() + io.inbox.from_cw.len()) as u64;
+            io.inbox.from_ccw.clear();
+            io.inbox.from_cw.clear();
+            if ctx.t >= self.emit_at {
+                self.emit_at = u64::MAX;
+                io.out.push(Direction::Cw, Token);
+            }
+            if self.held == 0 {
+                return 0;
+            }
+            self.held -= 1;
+            if self.sink {
+                return 1;
+            }
+            io.out.push(Direction::Cw, Token);
+            0
+        }
+
+        fn pending_work(&self) -> u64 {
+            self.held + u64::from(self.emit_at != u64::MAX)
+        }
+
+        fn quiescence(&self, _now: u64) -> Option<Quiescence> {
+            self.queries.set(self.queries.get() + 1);
+            let span = match self.emit_at {
+                u64::MAX => u64::MAX,
+                at if at > self.clock => at - self.clock,
+                _ => return None,
+            };
+            (self.held == 0).then_some(Quiescence { span, backlog: 0 })
+        }
+
+        fn fast_forward(&mut self, steps: u64) {
+            self.clock += steps;
+        }
+
+        fn save_state(&self, enc: &mut Encoder) -> Result<(), CheckpointError> {
+            enc.u64(self.emit_at);
+            enc.u64(self.held);
+            enc.u64(self.clock);
+            Ok(())
+        }
+
+        fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+            self.emit_at = dec.u64()?;
+            self.held = dec.u64()?;
+            self.clock = dec.u64()?;
+            Ok(())
+        }
+    }
+
+    /// `m` tickers with one token per `(node, emit_at)` pair, all bound
+    /// clockwise for `sink`.
+    fn tickers(m: usize, sink: usize, emits: &[(usize, u64)]) -> Vec<Ticker> {
+        (0..m)
+            .map(|i| Ticker {
+                emit_at: emits
+                    .iter()
+                    .find(|&&(node, _)| node == i)
+                    .map_or(u64::MAX, |&(_, at)| at),
+                sink: i == sink,
+                held: 0,
+                clock: 0,
+                on_steps: 0,
+                queries: Cell::new(0),
+            })
+            .collect()
+    }
+
+    const EMITS: [(usize, u64); 5] = [(0, 0), (7, 7), (20, 30), (21, 31), (40, 90)];
+
+    fn traced() -> EngineConfig {
+        EngineConfig {
+            trace: TraceLevel::Full,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_round_costs_its_active_nodes_not_the_ring() {
+        // One token crossing half of a 2^16 ring: a full sweep would step
+        // and query every node every round (2^31 calls); the frontier
+        // steps the token holder and queries it once more as it falls
+        // asleep, after one all-node round to start.
+        let m = 1 << 16;
+        let mut engine = Engine::new(tickers(m, m / 2, &[(0, 0)]), 1, traced());
+        let report = engine.run().unwrap();
+        let rounds = report.metrics.steps;
+        assert_eq!(report.makespan, m as u64 / 2 + 1);
+        let nodes = engine.into_nodes();
+        let on_steps: u64 = nodes.iter().map(|n| n.on_steps).sum();
+        let queries: u64 = nodes.iter().map(|n| n.queries.get()).sum();
+        assert!(
+            on_steps <= m as u64 + 2 * rounds,
+            "{on_steps} on_step calls"
+        );
+        assert!(
+            queries <= m as u64 + 2 * rounds,
+            "{queries} quiescence queries"
+        );
+        // Every skipped round was paid back by completion.
+        assert!(nodes.iter().all(|n| n.clock == rounds));
+    }
+
+    #[test]
+    fn timer_wakes_match_the_parallel_executor() {
+        for compress in [false, true] {
+            let cfg = EngineConfig {
+                compress,
+                ..traced()
+            };
+            let total = EMITS.len() as u64;
+            let mut seq = Engine::new(tickers(48, 45, &EMITS), total, cfg.clone());
+            let report = seq.run().unwrap();
+            assert_eq!(report.metrics.total_processed(), total);
+            let rounds = report.metrics.steps;
+            assert!(seq.nodes().iter().all(|n| n.clock == rounds));
+            for shards in [2, 3] {
+                let mut par = Engine::new(tickers(48, 45, &EMITS), total, cfg.clone());
+                assert_eq!(par.par_run(shards).unwrap(), report, "compress {compress}");
+            }
+        }
+    }
+
+    fn capture(engine: &mut Engine<Ticker>) -> Arc<Mutex<Vec<Snapshot>>> {
+        let snaps = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&snaps);
+        engine.on_checkpoint(move |snap| {
+            sink.lock().unwrap().push(snap.clone());
+            Ok(())
+        });
+        snaps
+    }
+
+    #[test]
+    fn checkpoints_taken_mid_sleep_resume_bit_identically() {
+        // Most nodes are asleep at every boundary; their clocks are in the
+        // snapshot, so unpaid debt would change the bytes. The parallel
+        // executor settles every node at its window boundaries, so its
+        // snapshots are the reference.
+        let total = EMITS.len() as u64;
+        let cfg = traced().checkpoint_every(5);
+        let mut seq = Engine::new(tickers(48, 45, &EMITS), total, cfg.clone());
+        let seq_snaps = capture(&mut seq);
+        let report = seq.run().unwrap();
+        let mut par = Engine::new(tickers(48, 45, &EMITS), total, cfg.clone());
+        let par_snaps = capture(&mut par);
+        assert_eq!(par.par_run(3).unwrap(), report);
+        let snaps = seq_snaps.lock().unwrap().clone();
+        assert!(snaps.len() > 10);
+        assert_eq!(snaps, *par_snaps.lock().unwrap());
+        for snap in &snaps {
+            let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+            let mut resumed = Engine::resume(tickers(48, 45, &EMITS), traced(), &snap).unwrap();
+            assert_eq!(resumed.run().unwrap(), report, "resumed at t={}", snap.t);
+        }
+    }
+
+    #[test]
+    fn spans_paused_mid_sleep_finish_bit_identically() {
+        let total = EMITS.len() as u64;
+        let report = Engine::new(tickers(48, 45, &EMITS), total, traced())
+            .run()
+            .unwrap();
+        for stride in [1, 4, 29] {
+            let mut engine = Engine::new(tickers(48, 45, &EMITS), total, traced());
+            let mut pause_at = stride;
+            let out = loop {
+                match engine.run_span(pause_at).unwrap() {
+                    SpanOutcome::Paused { t, .. } => {
+                        assert!(engine.nodes().iter().all(|n| n.clock == t));
+                        pause_at += stride;
+                    }
+                    SpanOutcome::Done(out) => break out,
+                }
+            };
+            assert_eq!(*out, report, "stride {stride}");
+        }
     }
 }
